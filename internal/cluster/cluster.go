@@ -10,9 +10,10 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // JobID identifies a job for allocation accounting. IDs are assigned by the
@@ -76,12 +77,11 @@ type Node struct {
 	tpc   int
 	memMB int
 
-	owner   []JobID       // per hardware thread; NoJob when free
-	memUsed map[JobID]int // per-job resident memory on this node, MB
-	threads map[JobID]int // per-job allocated thread count on this node
-	free    int           // free hardware threads
-	drained bool          // administratively removed from scheduling
-	down    bool          // failed hardware: no allocations until repaired
+	owner     []JobID    // per hardware thread; NoJob when free
+	residents []resident // jobs holding threads here, ascending by ID
+	free      int        // free hardware threads
+	drained   bool       // administratively removed from scheduling
+	down      bool       // failed hardware: no allocations until repaired
 
 	// Incrementally maintained counters backing the free-capacity index
 	// (see index.go): per-layer free-thread counts and the node's total
@@ -98,8 +98,6 @@ func newNode(id int, cfg Config) *Node {
 		tpc:         cfg.ThreadsPerCore,
 		memMB:       cfg.MemoryPerNodeMB,
 		owner:       make([]JobID, cfg.ThreadsPerNode()),
-		memUsed:     make(map[JobID]int),
-		threads:     make(map[JobID]int),
 		freeInLayer: make([]int, cfg.ThreadsPerCore),
 	}
 	n.free = len(n.owner)
@@ -157,22 +155,38 @@ func (n *Node) SiblingOf(t, s int) int { return n.CoreOf(t)*n.tpc + s }
 
 // Jobs returns the IDs of jobs holding at least one thread, in ascending
 // order (deterministic for scheduling and tests).
-func (n *Node) Jobs() []JobID {
-	ids := make([]JobID, 0, len(n.threads))
-	for id := range n.threads {
-		ids = append(ids, id)
+func (n *Node) Jobs() []JobID { return n.AppendJobs(make([]JobID, 0, len(n.residents))) }
+
+// AppendJobs appends the IDs Jobs returns to dst, ascending, and returns the
+// extended slice, so hot paths can reuse one buffer.
+func (n *Node) AppendJobs(dst []JobID) []JobID {
+	for _, r := range n.residents {
+		dst = append(dst, r.id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return dst
+}
+
+// resident is one job's holding on a node.
+type resident struct {
+	id      JobID
+	threads int // allocated hardware threads
+	memMB   int // reserved memory
+}
+
+// findResident returns the position of job id in n.residents and whether
+// it is there; when it is not, the position is where it would be inserted.
+func (n *Node) findResident(id JobID) (int, bool) {
+	return slices.BinarySearchFunc(n.residents, id, func(r resident, id JobID) int { return cmp.Compare(r.id, id) })
 }
 
 // JobThreads returns the hardware threads job id holds on this node,
 // ascending.
 func (n *Node) JobThreads(id JobID) []int {
-	if n.threads[id] == 0 {
+	i, ok := n.findResident(id)
+	if !ok {
 		return nil
 	}
-	out := make([]int, 0, n.threads[id])
+	out := make([]int, 0, n.residents[i].threads)
 	for t, o := range n.owner {
 		if o == id {
 			out = append(out, t)
@@ -182,11 +196,16 @@ func (n *Node) JobThreads(id JobID) []int {
 }
 
 // JobMemoryMB returns the memory reserved by job id on this node.
-func (n *Node) JobMemoryMB(id JobID) int { return n.memUsed[id] }
+func (n *Node) JobMemoryMB(id JobID) int {
+	if i, ok := n.findResident(id); ok {
+		return n.residents[i].memMB
+	}
+	return 0
+}
 
 // SharingDegree returns the number of distinct jobs on the node; 0 means
 // idle, 1 exclusive, ≥2 shared.
-func (n *Node) SharingDegree() int { return len(n.threads) }
+func (n *Node) SharingDegree() int { return len(n.residents) }
 
 // FreeSiblingThreads returns the hardware threads of layer `sibling`
 // (0 = primary, 1 = first SMT sibling, ...) that are currently free,
@@ -258,6 +277,17 @@ type Cluster struct {
 	jobNodes map[JobID][]int
 	// idx is the incremental free-capacity index (see index.go).
 	idx *index
+	// layerThreads[l] holds the thread indices of layer l and allThreads
+	// every thread index, identical on every node of the homogeneous
+	// machine; LayerThreads and ExclusivePlacement hand these slices out
+	// shared and read-only.
+	layerThreads [][]int
+	allThreads   []int
+	// seenNode and seenThread are Allocate's duplicate-check marks over
+	// node and thread indices. Allocate clears every mark it sets before
+	// it returns, on success and error alike.
+	seenNode   []bool
+	seenThread []bool
 }
 
 // New builds a cluster from cfg. It panics on invalid configuration: cluster
@@ -267,10 +297,28 @@ func New(cfg Config) *Cluster {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Cluster{cfg: cfg, jobNodes: make(map[JobID][]int), idx: newIndex(cfg)}
+	c := &Cluster{
+		cfg:        cfg,
+		jobNodes:   make(map[JobID][]int),
+		idx:        newIndex(cfg),
+		seenNode:   make([]bool, cfg.Nodes),
+		seenThread: make([]bool, cfg.ThreadsPerNode()),
+	}
 	c.nodes = make([]*Node, cfg.Nodes)
 	for i := range c.nodes {
 		c.nodes[i] = newNode(i, cfg)
+	}
+	c.layerThreads = make([][]int, cfg.ThreadsPerCore)
+	for l := range c.layerThreads {
+		threads := make([]int, cfg.CoresPerNode)
+		for core := range threads {
+			threads[core] = core*cfg.ThreadsPerCore + l
+		}
+		c.layerThreads[l] = threads
+	}
+	c.allThreads = make([]int, cfg.ThreadsPerNode())
+	for t := range c.allThreads {
+		c.allThreads[t] = t
 	}
 	return c
 }
@@ -292,7 +340,8 @@ func (c *Cluster) Node(i int) *Node {
 
 // Allocate validates and commits a placement atomically: either every thread
 // and memory reservation in p is applied, or the cluster is unchanged and an
-// error describes the first conflict found.
+// error describes the first conflict found. Allocate only reads p; the
+// placement's thread slices may be shared (see LayerThreads).
 func (c *Cluster) Allocate(p Placement) error {
 	if p.Job == NoJob {
 		return fmt.Errorf("%w: placement for NoJob", ErrBadPlace)
@@ -301,15 +350,50 @@ func (c *Cluster) Allocate(p Placement) error {
 		return fmt.Errorf("%w: empty placement for job %d", ErrBadPlace, p.Job)
 	}
 	// Phase 1: validate everything.
-	seenNode := make(map[int]bool, len(p.Nodes))
+	if err := c.validate(p); err != nil {
+		return err
+	}
+	// Phase 2: commit.
+	for _, np := range p.Nodes {
+		n := c.nodes[np.Node]
+		for _, t := range np.Threads {
+			n.owner[t] = p.Job
+			n.freeInLayer[t%n.tpc]--
+		}
+		n.free -= len(np.Threads)
+		i, ok := n.findResident(p.Job)
+		if !ok {
+			n.residents = slices.Insert(n.residents, i, resident{id: p.Job})
+		}
+		n.residents[i].threads += len(np.Threads)
+		n.residents[i].memMB += np.MemoryMB
+		n.memUsedSum += np.MemoryMB
+		c.jobNodes[p.Job] = append(c.jobNodes[p.Job], np.Node)
+		c.idx.busyThreads += len(np.Threads)
+		c.reindexNode(np.Node)
+	}
+	return nil
+}
+
+// validate checks p against the cluster without changing it. The node and
+// thread duplicate checks use the cluster's mark scratch, which validate
+// clears again before it returns.
+func (c *Cluster) validate(p Placement) error {
+	defer func() {
+		for _, np := range p.Nodes {
+			if np.Node >= 0 && np.Node < len(c.seenNode) {
+				c.seenNode[np.Node] = false
+			}
+		}
+	}()
 	for _, np := range p.Nodes {
 		if np.Node < 0 || np.Node >= len(c.nodes) {
 			return fmt.Errorf("%w: %d", ErrUnknownNode, np.Node)
 		}
-		if seenNode[np.Node] {
+		if c.seenNode[np.Node] {
 			return fmt.Errorf("%w: node %d listed twice for job %d", ErrBadPlace, np.Node, p.Job)
 		}
-		seenNode[np.Node] = true
+		c.seenNode[np.Node] = true
 		if c.nodes[np.Node].drained {
 			return fmt.Errorf("%w: node %d", ErrDrained, np.Node)
 		}
@@ -323,39 +407,39 @@ func (c *Cluster) Allocate(p Placement) error {
 			return fmt.Errorf("%w: negative memory on node %d", ErrBadPlace, np.Node)
 		}
 		n := c.nodes[np.Node]
-		seenThread := make(map[int]bool, len(np.Threads))
-		for _, t := range np.Threads {
-			if t < 0 || t >= n.Threads() {
-				return fmt.Errorf("%w: thread %d out of range on node %d", ErrBadPlace, t, np.Node)
-			}
-			if seenThread[t] {
-				return fmt.Errorf("%w: thread %d listed twice on node %d", ErrBadPlace, t, np.Node)
-			}
-			seenThread[t] = true
-			if n.owner[t] != NoJob {
-				return fmt.Errorf("%w: node %d thread %d held by job %d",
-					ErrThreadBusy, np.Node, t, n.owner[t])
-			}
+		if err := c.validateThreads(n, np.Threads); err != nil {
+			return err
 		}
 		if np.MemoryMB > n.MemFreeMB() {
 			return fmt.Errorf("%w: node %d has %d MB free, need %d MB",
 				ErrNoMemory, np.Node, n.MemFreeMB(), np.MemoryMB)
 		}
 	}
-	// Phase 2: commit.
-	for _, np := range p.Nodes {
-		n := c.nodes[np.Node]
-		for _, t := range np.Threads {
-			n.owner[t] = p.Job
-			n.freeInLayer[t%n.tpc]--
+	return nil
+}
+
+// validateThreads checks one node's thread list: in range, listed once,
+// and free. It clears the thread marks it sets before it returns.
+func (c *Cluster) validateThreads(n *Node, threads []int) error {
+	defer func() {
+		for _, t := range threads {
+			if t >= 0 && t < len(c.seenThread) {
+				c.seenThread[t] = false
+			}
 		}
-		n.free -= len(np.Threads)
-		n.threads[p.Job] += len(np.Threads)
-		n.memUsed[p.Job] += np.MemoryMB
-		n.memUsedSum += np.MemoryMB
-		c.jobNodes[p.Job] = append(c.jobNodes[p.Job], np.Node)
-		c.idx.busyThreads += len(np.Threads)
-		c.reindexNode(np.Node)
+	}()
+	for _, t := range threads {
+		if t < 0 || t >= n.Threads() {
+			return fmt.Errorf("%w: thread %d out of range on node %d", ErrBadPlace, t, n.id)
+		}
+		if c.seenThread[t] {
+			return fmt.Errorf("%w: thread %d listed twice on node %d", ErrBadPlace, t, n.id)
+		}
+		c.seenThread[t] = true
+		if n.owner[t] != NoJob {
+			return fmt.Errorf("%w: node %d thread %d held by job %d",
+				ErrThreadBusy, n.id, t, n.owner[t])
+		}
 	}
 	return nil
 }
@@ -378,9 +462,10 @@ func (c *Cluster) Release(id JobID) ([]int, error) {
 				c.idx.busyThreads--
 			}
 		}
-		n.memUsedSum -= n.memUsed[id]
-		delete(n.threads, id)
-		delete(n.memUsed, id)
+		if i, ok := n.findResident(id); ok {
+			n.memUsedSum -= n.residents[i].memMB
+			n.residents = slices.Delete(n.residents, i, i+1)
+		}
 		c.reindexNode(ni)
 	}
 	delete(c.jobNodes, id)
@@ -427,8 +512,8 @@ func (c *Cluster) DrainedNodes() []int {
 // so SetDown panics in that case.
 func (c *Cluster) SetDown(ni int, down bool) {
 	n := c.Node(ni)
-	if down && len(n.threads) > 0 {
-		panic(fmt.Sprintf("cluster: node %d set down with %d resident jobs", ni, len(n.threads)))
+	if down && len(n.residents) > 0 {
+		panic(fmt.Sprintf("cluster: node %d set down with %d resident jobs", ni, len(n.residents)))
 	}
 	n.down = down
 	c.reindexNode(ni)

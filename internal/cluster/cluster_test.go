@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -458,5 +459,100 @@ func TestDrainDoesNotDisturbRunningJob(t *testing.T) {
 	c.SetDrained(3, true)
 	if got := c.ShareCandidates(SecondaryLayer, 10); len(got) != 0 {
 		t.Fatalf("ShareCandidates includes drained node: %v", got)
+	}
+}
+
+// TestAllocateErrorsLeaveScratchClean fails Allocate in each of its thread
+// and memory checks and then places a job on exactly the threads the failed
+// attempt had marked: the duplicate check must not see stale marks.
+func TestAllocateErrorsLeaveScratchClean(t *testing.T) {
+	c := New(testConfig())
+	if err := c.Allocate(c.LayerPlacement(1, []int{0}, PrimaryLayer, 100)); err != nil {
+		t.Fatal(err)
+	}
+	secondary := c.LayerThreads(0, SecondaryLayer) // 1, 3, 5, 7
+	cases := []struct {
+		name string
+		p    Placement
+		want error
+	}{
+		{"duplicate thread", Placement{Job: 2, Nodes: []NodePlacement{
+			{Node: 0, Threads: []int{1, 3, 3}}}}, ErrBadPlace},
+		{"busy thread", Placement{Job: 2, Nodes: []NodePlacement{
+			{Node: 0, Threads: []int{1, 3, 0}}}}, ErrThreadBusy},
+		{"out-of-range thread", Placement{Job: 2, Nodes: []NodePlacement{
+			{Node: 0, Threads: []int{1, 3, 99}}}}, ErrBadPlace},
+		{"not enough memory", Placement{Job: 2, Nodes: []NodePlacement{
+			{Node: 0, Threads: []int{1, 3, 5, 7}, MemoryMB: 5000}}}, ErrNoMemory},
+		{"busy thread on a later node", Placement{Job: 2, Nodes: []NodePlacement{
+			{Node: 1, Threads: []int{1, 3}}, {Node: 0, Threads: []int{1, 0}}}}, ErrThreadBusy},
+		{"duplicate node", Placement{Job: 2, Nodes: []NodePlacement{
+			{Node: 1, Threads: []int{1}}, {Node: 1, Threads: []int{3}}}}, ErrBadPlace},
+	}
+	for _, tc := range cases {
+		if err := c.Allocate(tc.p); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: Allocate = %v, want %v", tc.name, err, tc.want)
+		}
+		for i, marked := range c.seenThread {
+			if marked {
+				t.Fatalf("%s: thread mark %d left set", tc.name, i)
+			}
+		}
+		for i, marked := range c.seenNode {
+			if marked {
+				t.Fatalf("%s: node mark %d left set", tc.name, i)
+			}
+		}
+		next := Placement{Job: 3, Nodes: []NodePlacement{
+			{Node: 1, Threads: []int{1, 3}}, {Node: 0, Threads: secondary, MemoryMB: 100}}}
+		if err := c.Allocate(next); err != nil {
+			t.Fatalf("%s: valid placement after the failure: %v", tc.name, err)
+		}
+		if _, err := c.Release(3); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestAllocateReleaseLeaveThreadsUntouched checks that Allocate and Release
+// only read a placement's thread slices, which LayerThreads and
+// ExclusivePlacement share across calls.
+func TestAllocateReleaseLeaveThreadsUntouched(t *testing.T) {
+	c := New(testConfig())
+	primary := c.LayerThreads(2, PrimaryLayer)
+	if &primary[0] != &c.LayerThreads(0, PrimaryLayer)[0] {
+		t.Fatal("LayerThreads no longer shares one slice per layer")
+	}
+	placements := []Placement{
+		c.LayerPlacement(1, []int{0, 1}, PrimaryLayer, 100),
+		c.LayerPlacement(2, []int{0, 1}, SecondaryLayer, 100),
+		c.ExclusivePlacement(3, []int{2, 3}, 100),
+		{Job: 4, Nodes: []NodePlacement{{Node: 0, Threads: []int{}}}}, // rejected
+	}
+	snapshot := func() [][][]int {
+		var out [][][]int
+		for _, p := range placements {
+			var per [][]int
+			for _, np := range p.Nodes {
+				per = append(per, append([]int(nil), np.Threads...))
+			}
+			out = append(out, per)
+		}
+		return out
+	}
+	before := snapshot()
+	for _, p := range placements {
+		_ = c.Allocate(p) // the last one fails; it must not write either
+	}
+	for _, id := range []JobID{1, 2, 3} {
+		if _, err := c.Release(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := snapshot(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("placement threads changed: before %v, after %v", before, after)
+	}
+	if got := c.LayerThreads(3, PrimaryLayer); !reflect.DeepEqual(got, []int{0, 2, 4, 6}) {
+		t.Fatalf("shared primary layer = %v", got)
 	}
 }

@@ -94,7 +94,7 @@ func (c *Cluster) reindexNode(ni int) {
 	avail := !n.drained && !n.down
 	c.idx.idleAvail.set(ni, idle && avail)
 	c.idx.nonIdle.set(ni, !idle)
-	c.idx.shared.set(ni, len(n.threads) >= 2)
+	c.idx.shared.set(ni, len(n.residents) >= 2)
 	for l := 0; l < n.tpc; l++ {
 		c.idx.layerFreeBusy[l].set(ni, avail && !idle && n.freeInLayer[l] == n.cores)
 	}

@@ -26,31 +26,28 @@ func (c *Cluster) LayerFree(ni int, l Layer) bool {
 	return n.freeInLayer[l] == n.cores
 }
 
-// LayerThreads returns the thread indices making up layer l on node ni.
+// LayerThreads returns the thread indices making up layer l on node ni,
+// ascending. The slice is shared: every call for the same layer returns the
+// same backing array, built once with the cluster, so callers must treat
+// it as read-only. Placements may hold it as their Threads; Allocate and
+// Release only read a placement.
 func (c *Cluster) LayerThreads(ni int, l Layer) []int {
 	n := c.Node(ni)
 	if int(l) < 0 || int(l) >= n.tpc {
 		panic(fmt.Sprintf("cluster: layer %d out of range (threads/core %d)", l, n.tpc))
 	}
-	out := make([]int, n.cores)
-	for core := 0; core < n.cores; core++ {
-		out[core] = core*n.tpc + int(l)
-	}
-	return out
+	return c.layerThreads[l]
 }
 
 // ExclusivePlacement builds a placement giving job id every hardware thread
 // and memMB of memory on each listed node — the standard node allocation the
-// paper's baselines use.
+// paper's baselines use. The placement's thread slices are shared and
+// read-only, as with LayerThreads.
 func (c *Cluster) ExclusivePlacement(id JobID, nodes []int, memPerNodeMB int) Placement {
-	p := Placement{Job: id}
+	p := Placement{Job: id, Nodes: make([]NodePlacement, 0, len(nodes))}
 	for _, ni := range nodes {
-		n := c.Node(ni)
-		threads := make([]int, n.Threads())
-		for t := range threads {
-			threads[t] = t
-		}
-		p.Nodes = append(p.Nodes, NodePlacement{Node: ni, Threads: threads, MemoryMB: memPerNodeMB})
+		c.Node(ni) // range check
+		p.Nodes = append(p.Nodes, NodePlacement{Node: ni, Threads: c.allThreads, MemoryMB: memPerNodeMB})
 	}
 	return p
 }
@@ -59,7 +56,7 @@ func (c *Cluster) ExclusivePlacement(id JobID, nodes []int, memPerNodeMB int) Pl
 // and memMB of memory on each listed node — the allocation unit of the
 // sharing strategies.
 func (c *Cluster) LayerPlacement(id JobID, nodes []int, l Layer, memPerNodeMB int) Placement {
-	p := Placement{Job: id}
+	p := Placement{Job: id, Nodes: make([]NodePlacement, 0, len(nodes))}
 	for _, ni := range nodes {
 		p.Nodes = append(p.Nodes, NodePlacement{
 			Node: ni, Threads: c.LayerThreads(ni, l), MemoryMB: memPerNodeMB,

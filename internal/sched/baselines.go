@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/job"
 )
@@ -14,6 +15,7 @@ func (FCFS) Name() string { return "fcfs" }
 
 // Schedule implements Policy.
 func (FCFS) Schedule(ctx *Context) []Decision {
+	ctx = ctx.forPass(ctx.Share)
 	var out []Decision
 	claimed := newMarks(ctx)
 	for _, j := range ctx.Queue {
@@ -42,6 +44,7 @@ func (FirstFit) Name() string { return "firstfit" }
 
 // Schedule implements Policy.
 func (FirstFit) Schedule(ctx *Context) []Decision {
+	ctx = ctx.forPass(ctx.Share)
 	var out []Decision
 	claimed := newMarks(ctx)
 	for _, j := range ctx.Queue {
@@ -101,13 +104,14 @@ func exclusiveDecision(ctx *Context, j *job.Job, nodes []int) Decision {
 // reservations for the first maxReservations blocked jobs, backfill for the
 // rest. Every started job runs on exclusive whole nodes.
 func backfillExclusive(ctx *Context, maxReservations int) []Decision {
+	ctx = ctx.forPass(ctx.Share)
 	var out []Decision
 	claimed := newMarks(ctx)
 
 	// The capacity profile sees a node as released when its last resident's
 	// predicted end passes (with one job per node under exclusive policies,
 	// that is simply the job's end).
-	profile := buildNodeProfile(ctx, claimed)
+	profile := buildNodeProfile(ctx, claimed, nil)
 
 	reservations := 0
 	for _, j := range ctx.Queue {
@@ -151,32 +155,42 @@ func backfillExclusive(ctx *Context, maxReservations int) []Decision {
 }
 
 // buildNodeProfile constructs the whole-node availability profile from the
-// current idle set and the running jobs' planned completion times.
-func buildNodeProfile(ctx *Context, claimed nodeMarks) *Profile {
+// idle nodes outside claimed and the running jobs' planning end times,
+// including the release postponements in endOverride from this pass's
+// co-allocations (nil for none).
+func buildNodeProfile(ctx *Context, claimed nodeMarks, endOverride map[cluster.JobID]des.Time) *Profile {
 	freeNow := 0
-	for _, ni := range ctx.Cluster.IdleNodes() {
+	for _, ni := range ctx.idleNodes() {
 		if !claimed[ni] {
 			freeNow++
 		}
 	}
 	// A node shared by several jobs becomes a whole free node only when the
-	// latest resident leaves.
-	releaseAt := map[int]des.Time{}
+	// latest resident leaves. Zero marks a node no job releases.
+	releaseAt := make([]des.Time, ctx.Cluster.Size())
 	for _, r := range ctx.Running {
-		end := predictedEnd(r, ctx.Share)
+		end := effectiveEnd(r, ctx.Share, endOverride)
 		for _, ni := range r.NodeIDs {
 			if end > releaseAt[ni] {
 				releaseAt[ni] = end
 			}
 		}
 	}
-	byTime := map[des.Time]int{}
-	for _, end := range releaseAt {
-		byTime[end]++
-	}
-	releases := make([]Release, 0, len(byTime))
-	for t, n := range byTime {
-		releases = append(releases, Release{At: t, Nodes: n})
+	// Credit each releasing node to the first running job that sets its
+	// release time, so there is one release per job rather than per node.
+	releases := make([]Release, 0, len(ctx.Running))
+	for _, r := range ctx.Running {
+		end := effectiveEnd(r, ctx.Share, endOverride)
+		n := 0
+		for _, ni := range r.NodeIDs {
+			if end > 0 && releaseAt[ni] == end {
+				releaseAt[ni] = 0
+				n++
+			}
+		}
+		if n > 0 {
+			releases = append(releases, Release{At: end, Nodes: n})
+		}
 	}
 	return NewProfile(ctx.Now, freeNow, releases)
 }

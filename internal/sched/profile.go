@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/des"
@@ -22,10 +24,11 @@ type Profile struct {
 }
 
 // NewProfile builds a profile starting at now with freeNow free nodes and
-// the given future releases. Releases at or before now are folded into the
-// initial capacity (their jobs are finishing as we plan).
+// the given future releases, which may come in any order and repeat times.
+// Releases at or before now are folded into the initial capacity (their
+// jobs are finishing as we plan). releases is not modified.
 func NewProfile(now des.Time, freeNow int, releases []Release) *Profile {
-	byTime := map[des.Time]int{}
+	future := make([]Release, 0, len(releases))
 	for _, r := range releases {
 		if r.Nodes < 0 {
 			panic(fmt.Sprintf("sched: release of %d nodes", r.Nodes))
@@ -34,19 +37,22 @@ func NewProfile(now des.Time, freeNow int, releases []Release) *Profile {
 			freeNow += r.Nodes
 			continue
 		}
-		byTime[r.At] += r.Nodes
+		future = append(future, r)
 	}
-	times := make([]des.Time, 0, len(byTime)+1)
-	for t := range byTime {
-		times = append(times, t)
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
+	slices.SortFunc(future, func(a, b Release) int { return cmp.Compare(a.At, b.At) })
 
-	p := &Profile{times: []des.Time{now}, free: []int{freeNow}}
+	p := &Profile{
+		times: append(make([]des.Time, 0, len(future)+1), now),
+		free:  append(make([]int, 0, len(future)+1), freeNow),
+	}
 	cum := freeNow
-	for _, t := range times {
-		cum += byTime[t]
-		p.times = append(p.times, t)
+	for _, r := range future {
+		cum += r.Nodes
+		if last := len(p.times) - 1; p.times[last] == r.At {
+			p.free[last] = cum
+			continue
+		}
+		p.times = append(p.times, r.At)
 		p.free = append(p.free, cum)
 	}
 	return p

@@ -1,9 +1,13 @@
 package sched
 
 import (
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cluster"
 	"repro/internal/des"
 )
 
@@ -159,5 +163,64 @@ func TestProperty_ProfileReservationsConsistent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNewProfileMatchesMapAggregation checks the sort-based NewProfile
+// against the map-based aggregation it replaced, on release lists with
+// repeated times, releases at or before now, and zero-node entries.
+func TestNewProfileMatchesMapAggregation(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for k := 0; k < 2000; k++ {
+		now := des.Time(rng.Intn(50))
+		releases := make([]Release, rng.Intn(30))
+		for i := range releases {
+			// Few distinct times, so repeats are common; some at or before now.
+			releases[i] = Release{At: des.Time(rng.Intn(80)), Nodes: rng.Intn(4)}
+		}
+		input := slices.Clone(releases)
+		freeNow := rng.Intn(5)
+		got := NewProfile(now, freeNow, releases)
+		want := refNewProfile(now, freeNow, releases)
+		if !reflect.DeepEqual(got.times, want.times) || !reflect.DeepEqual(got.free, want.free) {
+			t.Fatalf("NewProfile(%v, %d, %v) = %v/%v, map version %v/%v",
+				now, freeNow, releases, got.times, got.free, want.times, want.free)
+		}
+		if !reflect.DeepEqual(releases, input) {
+			t.Fatalf("NewProfile reordered its input")
+		}
+	}
+}
+
+// TestBuildNodeProfileMatchesMapBuilders checks the one slice-based builder
+// against both map-based builders it replaced: the exclusive policies'
+// (no overrides) and the sharing policies' (with release postponements).
+func TestBuildNodeProfileMatchesMapBuilders(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for s := 0; s < 300; s++ {
+		ctx := randomShareState(rng)
+		ctx.Share = randomShareConfig(rng)
+		claimed := newMarks(ctx)
+		for ni := range claimed {
+			claimed[ni] = rng.Intn(4) == 0
+		}
+		equal := func(a, b *Profile) bool {
+			return reflect.DeepEqual(a.times, b.times) && reflect.DeepEqual(a.free, b.free)
+		}
+		if got, want := buildNodeProfile(ctx, claimed, nil), refBuildNodeProfile(ctx, claimed); !equal(got, want) {
+			t.Fatalf("state %d: no overrides: %v/%v, map builder %v/%v", s, got.times, got.free, want.times, want.free)
+		}
+		if got, want := buildNodeProfile(ctx, claimed, nil), refProfileWith(ctx, claimed, nil); !equal(got, want) {
+			t.Fatalf("state %d: nil overrides: %v/%v, map builder %v/%v", s, got.times, got.free, want.times, want.free)
+		}
+		override := map[cluster.JobID]des.Time{}
+		for _, r := range ctx.Running {
+			if rng.Intn(3) == 0 {
+				override[r.Job.ID] = ctx.Now + des.Time(rng.Intn(8000))
+			}
+		}
+		if got, want := buildNodeProfile(ctx, claimed, override), refProfileWith(ctx, claimed, override); !equal(got, want) {
+			t.Fatalf("state %d: overrides: %v/%v, map builder %v/%v", s, got.times, got.free, want.times, want.free)
+		}
 	}
 }

@@ -20,8 +20,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/app"
 	"repro/internal/cluster"
@@ -125,18 +126,17 @@ type Context struct {
 	// ordered compactly so jobs span as few leaf switches as possible.
 	Topo *topology.Topology
 
-	// residentIdx caches node → running jobs for the pass; built lazily by
-	// residents (the co-allocation paths query it once per node per queued
-	// job, so the linear scan must not repeat).
-	residentIdx [][]*RunningJob
+	// residentIdx and residentOff cache node → running jobs for the pass,
+	// built lazily by residents: node ni's residents, in ctx.Running order,
+	// are residentIdx[residentOff[ni]:residentOff[ni+1]].
+	residentIdx []*RunningJob
+	residentOff []int32
+	// idle caches Cluster.IdleNodes for the pass (see idleNodes).
+	idle []int
+	// table is the pass's co-allocation candidate table, built lazily by
+	// shareTable.
+	table *shareTable
 
-	// compatIdx memoizes pairing evaluations per (guest application,
-	// resident application multiset) class for the pass. Pairing quality is
-	// a pure function of the applications' stress vectors and the
-	// interference model, so every node hosting the same resident class
-	// shares one evaluation instead of re-running Complementarity and
-	// NamedRates per candidate node per queued job.
-	compatIdx map[compatKey]compatProfile
 	// hostRateIdx memoizes the interference model's host-rate answer per
 	// (host application, guest application) pair for the pass — the
 	// inflation-accounting path asks this once per resident per candidate
@@ -144,17 +144,25 @@ type Context struct {
 	hostRateIdx map[compatKey]float64
 }
 
-// compatKey identifies a pairing class. residents holds the single resident
-// application name in the common MaxDegree-2 case (allocation-free to
-// build); deeper sharing joins the names with NUL separators.
+// forPass returns a copy of ctx that uses share. Policies build their
+// per-pass caches on the copy, so the caches live one Schedule call and the
+// caller's Context never holds any.
+func (ctx *Context) forPass(share ShareConfig) *Context {
+	scoped := *ctx
+	scoped.Share = share
+	return &scoped
+}
+
+// compatKey identifies an ordered pair of applications by name.
 type compatKey struct {
 	guest     string
 	residents string
 }
 
-func makeCompatKey(guest string, residents []*RunningJob) compatKey {
+// residentsKey names a resident set by its applications in order.
+func residentsKey(residents []*RunningJob) string {
 	if len(residents) == 1 {
-		return compatKey{guest: guest, residents: residents[0].Job.App.Name}
+		return residents[0].Job.App.Name
 	}
 	joined := ""
 	for i, r := range residents {
@@ -163,28 +171,27 @@ func makeCompatKey(guest string, residents []*RunningJob) compatKey {
 		}
 		joined += r.Job.App.Name
 	}
-	return compatKey{guest: guest, residents: joined}
+	return joined
 }
 
-// compatProfile is one memoized pairing evaluation: whether the pairing
-// passes the configured gates, its worst complementarity score, and the
-// guest's estimated progress rate.
+// compatProfile is one pairing evaluation: whether the pairing passes the
+// configured gates, its worst complementarity score, and the guest's
+// estimated progress rate.
 type compatProfile struct {
 	ok    bool
 	score float64
 	rate  float64
 }
 
-// compatFor returns the memoized pairing evaluation of guest job j against
-// the residents of a node, computing and caching it on first use.
-func (ctx *Context) compatFor(j *job.Job, residents []*RunningJob) compatProfile {
-	key := makeCompatKey(j.App.Name, residents)
-	if p, ok := ctx.compatIdx[key]; ok {
-		return p
-	}
+// pairing evaluates guest job j against the residents of a node. Pairing
+// quality is a pure function of the applications' stress vectors and the
+// interference model, so the candidate table evaluates it once per guest
+// application and resident class, not per node.
+func (ctx *Context) pairing(j *job.Job, residents []*RunningJob) compatProfile {
 	cfg := ctx.Share
 	score := 1.0
-	loads := []interference.Load{{App: j.App.Name, Stress: j.App.Stress}}
+	var buf [4]interference.Load // NamedRates keeps no reference to loads
+	loads := append(buf[:0], interference.Load{App: j.App.Name, Stress: j.App.Stress})
 	for _, r := range residents {
 		s := app.Complementarity(j.App.Stress, r.Job.App.Stress)
 		if s < score {
@@ -206,10 +213,6 @@ func (ctx *Context) compatFor(j *job.Job, residents []*RunningJob) compatProfile
 			}
 		}
 	}
-	if ctx.compatIdx == nil {
-		ctx.compatIdx = make(map[compatKey]compatProfile)
-	}
-	ctx.compatIdx[key] = p
 	return p
 }
 
@@ -231,18 +234,50 @@ func (ctx *Context) hostRateWith(r *RunningJob, j *job.Job) float64 {
 	return rates[0]
 }
 
-// residents returns the running jobs occupying node ni, using a lazily
-// built index over ctx.Running.
+// residents returns the running jobs occupying node ni, in ctx.Running
+// order, using a lazily built index over ctx.Running with one backing
+// array for all nodes. Callers must not append to the returned slice.
 func (ctx *Context) residents(ni int) []*RunningJob {
-	if ctx.residentIdx == nil {
-		ctx.residentIdx = make([][]*RunningJob, ctx.Cluster.Size())
+	if ctx.residentOff == nil {
+		// Count per node, turn the counts into end offsets, then fill
+		// back to front so each node's run ends at its start offset.
+		n := ctx.Cluster.Size()
+		off := make([]int32, n+1)
 		for _, r := range ctx.Running {
-			for _, n := range r.NodeIDs {
-				ctx.residentIdx[n] = append(ctx.residentIdx[n], r)
+			for _, ni := range r.NodeIDs {
+				off[ni]++
 			}
 		}
+		for i := 1; i < n; i++ {
+			off[i] += off[i-1]
+		}
+		off[n] = off[n-1]
+		idx := make([]*RunningJob, off[n])
+		for k := len(ctx.Running) - 1; k >= 0; k-- {
+			r := ctx.Running[k]
+			for i := len(r.NodeIDs) - 1; i >= 0; i-- {
+				ni := r.NodeIDs[i]
+				off[ni]--
+				idx[off[ni]] = r
+			}
+		}
+		ctx.residentIdx, ctx.residentOff = idx, off
 	}
-	return ctx.residentIdx[ni]
+	lo, hi := ctx.residentOff[ni], ctx.residentOff[ni+1]
+	return ctx.residentIdx[lo:hi:hi]
+}
+
+// idleNodes returns the idle schedulable nodes, ascending, fetched from the
+// cluster once per pass (the cluster is read-only while a policy runs).
+// Callers must not modify the returned slice.
+func (ctx *Context) idleNodes() []int {
+	if ctx.idle == nil {
+		ctx.idle = ctx.Cluster.IdleNodes()
+		if ctx.idle == nil {
+			ctx.idle = []int{}
+		}
+	}
+	return ctx.idle
 }
 
 // Policy decides which queued jobs start now.
@@ -323,8 +358,9 @@ func (m nodeMarks) clone() nodeMarks {
 // idleCandidates returns the schedulable idle nodes minus exclusions, in
 // locality-compact order when a topology is configured.
 func idleCandidates(ctx *Context, exclude nodeMarks) []int {
-	var out []int
-	for _, ni := range ctx.Cluster.IdleNodes() {
+	idle := ctx.idleNodes()
+	out := make([]int, 0, len(idle))
+	for _, ni := range idle {
 		if !exclude[ni] {
 			out = append(out, ni)
 		}
@@ -365,79 +401,70 @@ type hostGroup struct {
 	fullHost bool    // group spans every node of the host job
 }
 
-// nodeUsableFor reports whether node ni can host j as a co-runner and, if
-// so, returns the pairing score (worst complementarity across residents) and
-// the guest's estimated progress rate there.
-func nodeUsableFor(ctx *Context, j *job.Job, ni int, exclude nodeMarks) (shareCandidate, bool) {
-	cfg := ctx.Share
-	c := ctx.Cluster
-	if exclude[ni] {
-		return shareCandidate{}, false
-	}
-	n := c.Node(ni)
-	if n.Idle() || !n.Available() || n.SharingDegree() >= cfg.MaxDegree ||
-		n.MemFreeMB() < j.App.MemPerNodeMB {
-		return shareCandidate{}, false
-	}
-	if _, ok := freeLayerOn(c, ni); !ok {
-		return shareCandidate{}, false
-	}
-	residents := ctx.residents(ni)
-	if len(residents) == 0 {
-		// Node busy but no running record — a foreign allocation; skip.
-		return shareCandidate{}, false
-	}
-	p := ctx.compatFor(j, residents)
-	if !p.ok {
-		return shareCandidate{}, false
-	}
-	return shareCandidate{node: ni, score: p.score, rate: p.rate}, true
-}
-
-// hostGroupsFor collects the co-allocation host groups for j, best first
-// when pairing-aware: full-host coverage ranks above partial, then pairing
-// score, then host job ID for determinism.
+// hostGroupsFor collects the co-allocation host groups for j from the
+// pass's candidate table, best first when pairing-aware: full-host coverage
+// ranks above partial, then pairing score, then first node for determinism.
+// Groups follow ctx.Running order, a node shared by several hosts joins the
+// first host's group, and a group keeps its host's node order.
 func hostGroupsFor(ctx *Context, j *job.Job, exclude nodeMarks) []hostGroup {
 	cfg := ctx.Share
 	if !cfg.Enabled {
 		return nil
 	}
-	var groups []hostGroup
-	seen := newMarks(ctx) // nodes already captured via an earlier host
-	for _, r := range ctx.Running {
-		g := hostGroup{score: 1, rate: 1}
-		for _, ni := range r.NodeIDs {
-			if seen[ni] {
+	t := ctx.shareTable()
+	g := t.guest(ctx, j)
+	if len(g.usable) == 0 {
+		return nil
+	}
+	// Each usable node joins at most one group, so one backing array holds
+	// every group's nodes.
+	flat := make([]shareCandidate, 0, len(g.usable))
+	groups := make([]hostGroup, 0, min(len(t.hosts), len(g.usable)))
+	for _, h := range t.hosts {
+		grp := hostGroup{score: 1, rate: 1}
+		from := len(flat)
+		for _, ni := range h.nodes {
+			if t.seen[ni] || exclude[ni] {
 				continue
 			}
-			cand, ok := nodeUsableFor(ctx, j, ni, exclude)
+			cand, ok := g.at(t, ni)
 			if !ok {
 				continue
 			}
-			seen[ni] = true
-			g.nodes = append(g.nodes, cand)
-			if cand.score < g.score {
-				g.score = cand.score
+			t.seen[ni] = true
+			flat = append(flat, cand)
+			if cand.score < grp.score {
+				grp.score = cand.score
 			}
-			if cand.rate < g.rate {
-				g.rate = cand.rate
+			if cand.rate < grp.rate {
+				grp.rate = cand.rate
 			}
 		}
-		if len(g.nodes) == 0 {
+		if len(flat) == from {
 			continue
 		}
-		g.fullHost = len(g.nodes) == len(r.NodeIDs)
-		groups = append(groups, g)
+		grp.nodes = flat[from:len(flat):len(flat)]
+		grp.fullHost = len(grp.nodes) == len(h.job.NodeIDs)
+		groups = append(groups, grp)
+	}
+	for _, c := range flat {
+		t.seen[c.node] = false
+	}
+	if len(groups) == 0 {
+		return nil
 	}
 	if cfg.PairingAware {
-		sort.SliceStable(groups, func(a, b int) bool {
-			if groups[a].fullHost != groups[b].fullHost {
-				return groups[a].fullHost
+		slices.SortStableFunc(groups, func(a, b hostGroup) int {
+			if a.fullHost != b.fullHost {
+				if a.fullHost {
+					return -1
+				}
+				return 1
 			}
-			if groups[a].score != groups[b].score {
-				return groups[a].score > groups[b].score
+			if c := cmp.Compare(b.score, a.score); c != 0 {
+				return c
 			}
-			return groups[a].nodes[0].node < groups[b].nodes[0].node
+			return cmp.Compare(a.nodes[0].node, b.nodes[0].node)
 		})
 	}
 	return groups

@@ -25,9 +25,7 @@ func (p ShareFirstFit) ShareConfig() ShareConfig { return p.Config }
 
 // Schedule implements Policy.
 func (p ShareFirstFit) Schedule(ctx *Context) []Decision {
-	scoped := *ctx
-	scoped.Share = p.Config
-	ctx = &scoped
+	ctx = ctx.forPass(p.Config)
 	if !p.Config.Enabled {
 		return FirstFit{}.Schedule(ctx)
 	}
@@ -46,6 +44,9 @@ func (p ShareFirstFit) Schedule(ctx *Context) []Decision {
 		if !ok {
 			memo.recordFail(j)
 			continue // first fit: skip and try the next job
+		}
+		for _, np := range dec.Placement.Nodes {
+			claimed[np.Node] = true
 		}
 		slots -= len(dec.Placement.Nodes)
 		out = append(out, dec)
@@ -77,18 +78,9 @@ func (m *failMemo) recordFail(j *job.Job) {
 // slotBound returns an upper bound on the node slots a sharing pass can
 // still hand out: idle nodes plus busy nodes with a free layer within the
 // sharing degree. It exists so deep queues cost an integer compare per
-// hopeless job instead of a full candidate scan. Both terms come from the
-// cluster's free-capacity index, so the bound itself costs O(candidates),
-// not O(nodes).
+// hopeless job instead of a full candidate scan.
 func slotBound(ctx *Context) int {
-	c := ctx.Cluster
-	bound := c.CountIdle()
-	for _, ni := range c.BusyFreeLayerNodes() {
-		if c.Node(ni).SharingDegree() < ctx.Share.MaxDegree {
-			bound++
-		}
-	}
-	return bound
+	return ctx.Cluster.CountIdle() + ctx.shareTable().sharable
 }
 
 // ShareBackfill is co-allocation-aware EASY backfill. The queue head's
@@ -113,9 +105,7 @@ func (p ShareBackfill) ShareConfig() ShareConfig { return p.Config }
 
 // Schedule implements Policy.
 func (p ShareBackfill) Schedule(ctx *Context) []Decision {
-	scoped := *ctx
-	scoped.Share = p.Config
-	ctx = &scoped
+	ctx = ctx.forPass(p.Config)
 	if !p.Config.Enabled {
 		return EASY{}.Schedule(ctx)
 	}
@@ -141,9 +131,7 @@ func (p ShareConservative) ShareConfig() ShareConfig { return p.Config }
 
 // Schedule implements Policy.
 func (p ShareConservative) Schedule(ctx *Context) []Decision {
-	scoped := *ctx
-	scoped.Share = p.Config
-	ctx = &scoped
+	ctx = ctx.forPass(p.Config)
 	if !p.Config.Enabled {
 		return Conservative{}.Schedule(ctx)
 	}
@@ -161,7 +149,7 @@ func scheduleShare(ctx *Context, maxReservations int) []Decision {
 	// committed in this pass.
 	endOverride := map[cluster.JobID]des.Time{}
 
-	profile := profileWith(ctx, claimed, endOverride)
+	profile := buildNodeProfile(ctx, claimed, endOverride)
 	var shadows []des.Time // reservation start times, in queue order
 	slots := slotBound(ctx)
 	memo := newFailMemo()
@@ -230,9 +218,9 @@ func scheduleShare(ctx *Context, maxReservations int) []Decision {
 func placeGuarded(ctx *Context, j *job.Job, claimed nodeMarks,
 	endOverride map[cluster.JobID]des.Time, shadows []des.Time) (Decision, bool) {
 
-	excluded := claimed.clone()
+	excluded := claimed // copied before the first exclusion
 	for attempt := 0; attempt <= ctx.Cluster.Size(); attempt++ {
-		dec, ok := placeShared(ctx, j, excluded.clone())
+		dec, ok := placeShared(ctx, j, excluded)
 		if !ok {
 			return Decision{}, false
 		}
@@ -262,6 +250,9 @@ func placeGuarded(ctx *Context, j *job.Job, claimed nodeMarks,
 		if offender == -1 {
 			return dec, true
 		}
+		if attempt == 0 {
+			excluded = claimed.clone()
+		}
 		excluded[offender] = true
 	}
 	return Decision{}, false
@@ -282,37 +273,6 @@ func commitShare(ctx *Context, dec Decision, claimed nodeMarks,
 			}
 		}
 	}
-}
-
-// profileWith rebuilds the whole-node capacity profile applying release
-// postponements from this pass's co-allocations.
-func profileWith(ctx *Context, claimed nodeMarks,
-	endOverride map[cluster.JobID]des.Time) *Profile {
-
-	freeNow := 0
-	for _, ni := range ctx.Cluster.IdleNodes() {
-		if !claimed[ni] {
-			freeNow++
-		}
-	}
-	releaseAt := map[int]des.Time{}
-	for _, r := range ctx.Running {
-		end := effectiveEnd(r, ctx.Share, endOverride)
-		for _, ni := range r.NodeIDs {
-			if end > releaseAt[ni] {
-				releaseAt[ni] = end
-			}
-		}
-	}
-	byTime := map[des.Time]int{}
-	for _, end := range releaseAt {
-		byTime[end]++
-	}
-	releases := make([]Release, 0, len(byTime))
-	for t, n := range byTime {
-		releases = append(releases, Release{At: t, Nodes: n})
-	}
-	return NewProfile(ctx.Now, freeNow, releases)
 }
 
 // effectiveEnd returns a running job's planning end time, honoring both the
@@ -348,20 +308,27 @@ func inflatedEnd(ctx *Context, r *RunningJob, j *job.Job, endOverride map[cluste
 }
 
 // placeShared builds a sharing-aware placement for j from co-allocation
-// host groups and idle nodes, ordered by the PreferShared setting. Whole
-// host groups are taken before partial ones so guests cover hosts fully
-// whenever possible (see hostGroup). claimed is updated with the nodes used.
-func placeShared(ctx *Context, j *job.Job, claimed nodeMarks) (Decision, bool) {
-
-	groups := hostGroupsFor(ctx, j, claimed)
-	idle := idleCandidates(ctx, claimed)
+// host groups and idle nodes outside exclude, ordered by the PreferShared
+// setting. Whole host groups are taken before partial ones so guests cover
+// hosts fully whenever possible (see hostGroup). exclude is not modified.
+//
+// The slot list it fills is exactly the usable co-allocation nodes plus the
+// idle nodes, minus exclude, so it rejects j by that count before building
+// any group: the count tells whether j.Nodes slots exist as surely as
+// building them would.
+func placeShared(ctx *Context, j *job.Job, exclude nodeMarks) (Decision, bool) {
+	if freeSlots(ctx, j, exclude) < j.Nodes {
+		return Decision{}, false
+	}
+	groups := hostGroupsFor(ctx, j, exclude)
+	idle := idleCandidates(ctx, exclude)
 
 	type slot struct {
 		node   int
 		shared bool
 		rate   float64
 	}
-	var slots []slot
+	slots := make([]slot, 0, j.Nodes)
 	need := func() int { return j.Nodes - len(slots) }
 	takenGroup := make([]bool, len(groups))
 
@@ -415,7 +382,7 @@ func placeShared(ctx *Context, j *job.Job, claimed nodeMarks) (Decision, bool) {
 	}
 	slots = slots[:j.Nodes]
 
-	p := cluster.Placement{Job: j.ID}
+	p := cluster.Placement{Job: j.ID, Nodes: make([]cluster.NodePlacement, 0, j.Nodes)}
 	rate := 1.0
 	shared := false
 	for _, s := range slots {
@@ -436,9 +403,28 @@ func placeShared(ctx *Context, j *job.Job, claimed nodeMarks) (Decision, bool) {
 			Threads:  ctx.Cluster.LayerThreads(s.node, layer),
 			MemoryMB: j.App.MemPerNodeMB,
 		})
-		claimed[s.node] = true
 	}
 	return Decision{Job: j, Placement: p, Shared: shared, EstimatedRate: rate}, true
+}
+
+// freeSlots counts the nodes placeShared can fill for j: the idle nodes and,
+// with sharing on, the usable co-allocation nodes, minus exclude.
+func freeSlots(ctx *Context, j *job.Job, exclude nodeMarks) int {
+	n := 0
+	for _, ni := range ctx.idleNodes() {
+		if !exclude[ni] {
+			n++
+		}
+	}
+	if !ctx.Share.Enabled {
+		return n
+	}
+	for _, ni := range ctx.shareTable().guest(ctx, j).usable {
+		if !exclude[ni] {
+			n++
+		}
+	}
+	return n
 }
 
 // countIdleNodes counts the placement's nodes that are currently idle.

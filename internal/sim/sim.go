@@ -13,8 +13,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -118,6 +120,11 @@ type Engine struct {
 
 	decisionTimes []time.Duration
 	schedQueued   bool
+
+	// Scratch reused by the rate recompute on every commit and release.
+	affectedBuf []cluster.JobID
+	residentBuf []cluster.JobID
+	loadBuf     []interference.Load
 
 	// Fault injection and recovery. All zero-valued when Faults is off.
 	injector        *fault.Injector
@@ -686,19 +693,16 @@ func (e *Engine) FaultTrace() []fault.Event {
 func (e *Engine) Retries(id cluster.JobID) int { return e.retries[id] }
 
 // updateRatesOnNodes re-derives the progress rate of every job touching the
-// given nodes and reschedules their completion events.
+// given nodes, in ascending job ID order, and reschedules their completion
+// events.
 func (e *Engine) updateRatesOnNodes(nodes []int) {
-	affected := map[cluster.JobID]bool{}
+	ids := e.affectedBuf[:0]
 	for _, ni := range nodes {
-		for _, id := range e.cl.Node(ni).Jobs() {
-			affected[id] = true
-		}
+		ids = e.cl.Node(ni).AppendJobs(ids)
 	}
-	ids := make([]cluster.JobID, 0, len(affected))
-	for id := range affected {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	e.affectedBuf = ids
 	for _, id := range ids {
 		e.recomputeRate(id)
 	}
@@ -743,20 +747,24 @@ func (e *Engine) recomputeRate(id cluster.JobID) {
 // nodeRateFor returns the progress rate job id achieves on node ni given the
 // node's full co-location set.
 func (e *Engine) nodeRateFor(ni int, id cluster.JobID) float64 {
-	residents := e.cl.Node(ni).Jobs()
-	loads := make([]interference.Load, len(residents))
-	idx := -1
-	for i, rid := range residents {
-		if rid == id {
-			idx = i
-		}
-		if rr, ok := e.running[rid]; ok {
-			loads[i] = interference.Load{App: rr.job.App.Name, Stress: e.effectiveStress(rr)}
-		}
-	}
+	residents := e.cl.Node(ni).AppendJobs(e.residentBuf[:0])
+	e.residentBuf = residents
+	idx := slices.Index(residents, id)
 	if idx == -1 {
 		panic(fmt.Sprintf("sim: job %d not resident on node %d", id, ni))
 	}
+	if len(residents) == 1 {
+		return 1 // the interference model rates a lone load at 1
+	}
+	loads := e.loadBuf[:0]
+	for _, rid := range residents {
+		var l interference.Load
+		if rr, ok := e.running[rid]; ok {
+			l = interference.Load{App: rr.job.App.Name, Stress: e.effectiveStress(rr)}
+		}
+		loads = append(loads, l)
+	}
+	e.loadBuf = loads
 	return e.inter.NamedRates(loads)[idx]
 }
 
@@ -860,7 +868,7 @@ func (e *Engine) runningSnapshot() []*sched.RunningJob {
 	for _, rec := range e.running {
 		out = append(out, rec.rec)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Job.ID < out[j].Job.ID })
+	slices.SortFunc(out, func(a, b *sched.RunningJob) int { return cmp.Compare(a.Job.ID, b.Job.ID) })
 	return out
 }
 

@@ -155,17 +155,34 @@ func TestServeChaosAcceptance(t *testing.T) {
 
 	// Recovery: with the storm over, health probes alone must unwind the
 	// ladder to NORMAL (if it ever climbed) and the shedder back to calm.
-	probe, err := Dial(px.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer probe.Close()
-	probe.Timeout = 5 * time.Second
+	// The probe goes through the chaos proxy too, which may drop its
+	// connection: after a transport error it redials within the deadline.
+	var probe *Client
+	defer func() {
+		if probe != nil {
+			probe.Close()
+		}
+	}()
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		hr, err := probe.HealthFull()
-		if err == nil && hr.Brownout == "normal" && hr.Health == HealthOK {
-			break
+		var hr Response
+		if probe == nil {
+			probe, err = Dial(px.Addr())
+			if err == nil {
+				probe.Timeout = 5 * time.Second
+			} else {
+				probe = nil
+			}
+		}
+		if probe != nil {
+			hr, err = probe.HealthFull()
+			if err == nil && hr.Brownout == "normal" && hr.Health == HealthOK {
+				break
+			}
+			if err != nil {
+				probe.Close()
+				probe = nil
+			}
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("controller never returned to NORMAL: health=%+v err=%v", hr, err)
