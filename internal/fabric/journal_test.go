@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/vfs"
+	"repro/internal/wal"
 )
 
 // journalSpec is the campaign identity used across journal tests.
@@ -148,10 +149,10 @@ func TestCampaignJournalTornTailSalvage(t *testing.T) {
 func TestCampaignJournalRefusesMidLogCorruption(t *testing.T) {
 	path, data := buildJournal(t, t.TempDir(), 16, 6)
 	// Flip a payload byte in an early cell frame (past header+campaign+gen).
-	lines := splitJournalLines(data)
+	lines := wal.SplitLines(data)
 	target := lines[3] // first cell record
 	corrupted := append([]byte(nil), data...)
-	corrupted[target.off+int64(len(target.text))-2] ^= 0x40
+	corrupted[target.Off+int64(len(target.Text))-2] ^= 0x40
 	if err := os.WriteFile(path, corrupted, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -222,5 +223,60 @@ func TestCampaignJournalFaultyAppend(t *testing.T) {
 	}
 	if rec.Gen != 2 {
 		t.Fatalf("gen = %d, want 2", rec.Gen)
+	}
+}
+
+// TestContainmentSyncFailureRollsBack: a containment record whose fsync
+// fails is rolled back like any failed append — counted as one journal
+// error, the file left at a frame boundary — and a later cell record
+// appends cleanly behind it, so the next open recovers that cell with no
+// damage to salvage.
+func TestContainmentSyncFailureRollsBack(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "contain.journal")
+	faulty := vfs.NewFaulty(vfs.OS{}, vfs.FaultProfile{Seed: 3})
+	d, _, _ := newTestDispatcher(t, 8, func(c *Config) {
+		c.JournalPath, c.FS, c.Spec = path, faulty, journalSpec
+	})
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	faulty.FailSyncs(1)
+	d.mu.Lock()
+	d.journalContainLocked(journalRecord{Kind: "quarantine", Worker: "w-evil", Reason: "checksum-reject", Strikes: 3})
+	d.mu.Unlock()
+	if got := d.Counters().JournalErrors; got != 1 {
+		t.Fatalf("journal_errors = %d after a failed containment fsync, want 1", got)
+	}
+	if got := faulty.Stats().SyncFails; got != 1 {
+		t.Fatalf("injected %d sync failures, want 1", got)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatalf("failed containment append left %d bytes behind, want the file rolled back to its %d committed bytes",
+			len(after)-len(before), len(before))
+	}
+
+	d.mu.Lock()
+	d.journalCellLocked(0, rowBytes(0))
+	d.mu.Unlock()
+	if got := d.Counters().JournalErrors; got != 1 {
+		t.Fatalf("journal_errors = %d after a clean cell append, want still 1", got)
+	}
+	d.Close()
+
+	_, rec, err := OpenCampaignJournal(vfs.OS{}, path, journalSpec, 8)
+	if err != nil {
+		t.Fatalf("reopen after rolled-back containment record: %v", err)
+	}
+	if !bytes.Equal(rec.Rows[0], rowBytes(0)) || len(rec.Rows) != 1 {
+		t.Fatalf("reopen recovered rows %v, want only cell 0", rec.Rows)
+	}
+	if rec.SalvagedBytes != 0 || len(rec.Quarantined) != 0 {
+		t.Fatalf("reopen found damage: salvaged %d bytes, quarantined %v", rec.SalvagedBytes, rec.Quarantined)
 	}
 }

@@ -13,7 +13,8 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
+
+	"repro/internal/wal"
 )
 
 // maxResultBytes bounds one completion payload inside a protocol line. The
@@ -27,7 +28,7 @@ const maxResultBytes = 3 * (maxLine / 4)
 // the wrong cell — or the right cell of the wrong campaign — also fails
 // verification, not just a flipped payload byte.
 func completionSum(specSHAHex string, cell int, row []byte) uint32 {
-	h := crc32.New(campaignCastagnoli)
+	h := wal.NewHash()
 	h.Write([]byte(specSHAHex))
 	var idx [8]byte
 	binary.LittleEndian.PutUint64(idx[:], uint64(cell))

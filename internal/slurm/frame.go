@@ -1,29 +1,28 @@
 package slurm
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
+
+	"repro/internal/wal"
 )
 
-// Journal record framing. The v1 format (PRs 1–4) is plain JSONL: readable,
+// Journal file formats. The v1 format (PRs 1–4) is plain JSONL: readable,
 // but a bit-flipped record that still parses as JSON replays silently into
-// divergent state. The v2 format keeps the file line-oriented (one record
-// per line, greppable) but makes every record self-verifying:
+// divergent state. The v2 format is the internal/wal line discipline under
+// a header line — every record a CRC32C-checked frame, and snapshot files
+// sealed by a trailing manifest:
 //
 //	#mini-slurm-journal v2 crc32c          ← header line (file is v2)
-//	=LLLLLLLL CCCCCCCC {"seq":1,...}       ← frame: hex payload length,
-//	                                          hex CRC32C of payload, payload
-//	!NNNNNNNN CCCCCCCC                     ← manifest (snapshots only):
-//	                                          hex frame count, hex CRC32C of
-//	                                          every preceding file byte
+//	=LLLLLLLL CCCCCCCC {"seq":1,...}       ← frame (see internal/wal)
+//	!NNNNNNNN CCCCCCCC                     ← manifest (snapshots only)
 //
-// The length prefix makes a torn append detectable even when the torn bytes
-// happen to look like JSON; the CRC catches bit rot; the manifest seals
-// snapshot files, which are written atomically and must never be torn.
-// Files whose first line is not the header are read as v1 JSONL, so
-// journals written by earlier releases load transparently and are rewritten
-// as v2 by the next compaction.
+// The manifest seals snapshot files, which are written atomically and must
+// never be torn. Files whose first line is not the header are read as v1
+// JSONL, so journals written by earlier releases load transparently; the
+// controller keeps appending v1 lines to such a journal until the next
+// compaction rewrites the pair as v2.
 //
 // Within one file, sequence numbers must be strictly consecutive: the
 // controller stamps Seq = prev+1 on every entry, so a gap or regression
@@ -35,87 +34,7 @@ const (
 
 	journalV1 = 1
 	journalV2 = 2
-
-	// frameMetaLen is len("=LLLLLLLL CCCCCCCC ") — the fixed-width frame
-	// preamble before the payload.
-	frameMetaLen = 19
-	// manifestLen is len("!NNNNNNNN CCCCCCCC") — a manifest line's exact size.
-	manifestLen = 18
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-func crc32c(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
-
-func appendHex8(dst []byte, v uint32) []byte {
-	const digits = "0123456789abcdef"
-	for shift := 28; shift >= 0; shift -= 4 {
-		dst = append(dst, digits[v>>uint(shift)&0xf])
-	}
-	return dst
-}
-
-func parseHex8(s []byte) (uint32, bool) {
-	if len(s) != 8 {
-		return 0, false
-	}
-	var v uint32
-	for _, c := range s {
-		var d uint32
-		switch {
-		case c >= '0' && c <= '9':
-			d = uint32(c - '0')
-		case c >= 'a' && c <= 'f':
-			d = uint32(c-'a') + 10
-		default:
-			return 0, false
-		}
-		v = v<<4 | d
-	}
-	return v, true
-}
-
-// appendFrame appends one v2 frame line for payload (a JSON-encoded entry
-// without trailing newline).
-func appendFrame(dst, payload []byte) []byte {
-	dst = append(dst, '=')
-	dst = appendHex8(dst, uint32(len(payload)))
-	dst = append(dst, ' ')
-	dst = appendHex8(dst, crc32c(payload))
-	dst = append(dst, ' ')
-	dst = append(dst, payload...)
-	return append(dst, '\n')
-}
-
-// encodeFrame returns the complete v2 frame line for one entry.
-func encodeFrame(e Entry) ([]byte, error) {
-	payload, err := json.Marshal(e)
-	if err != nil {
-		return nil, fmt.Errorf("slurm: encode entry %d: %w", e.Seq, err)
-	}
-	return appendFrame(nil, payload), nil
-}
-
-// parseFramePayload validates a frame line's structure and checksum and
-// returns the payload. A non-empty reason describes the damage.
-func parseFramePayload(text []byte) (payload []byte, reason string) {
-	if len(text) < frameMetaLen || text[0] != '=' || text[9] != ' ' || text[18] != ' ' {
-		return nil, "malformed frame"
-	}
-	length, ok1 := parseHex8(text[1:9])
-	sum, ok2 := parseHex8(text[10:18])
-	if !ok1 || !ok2 {
-		return nil, "malformed frame header"
-	}
-	payload = text[frameMetaLen:]
-	if uint32(len(payload)) != length {
-		return nil, fmt.Sprintf("length mismatch (header %d, payload %d)", length, len(payload))
-	}
-	if crc32c(payload) != sum {
-		return nil, "checksum mismatch"
-	}
-	return payload, ""
-}
 
 // encodeSnapshot renders entries as a complete v2 snapshot file: header,
 // one frame per entry, trailing manifest sealing the whole file.
@@ -126,29 +45,20 @@ func encodeSnapshot(entries []Entry) ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("slurm: encode entry %d: %w", e.Seq, err)
 		}
-		buf = appendFrame(buf, payload)
+		buf = wal.AppendFrame(buf, payload)
 	}
-	buf = append(buf, '!')
-	buf = appendHex8(buf, uint32(len(entries)))
-	buf = append(buf, ' ')
-	buf = appendHex8(buf, crc32c(buf[:len(buf)-10]))
-	return append(buf, '\n'), nil
+	return wal.AppendManifest(buf, len(entries)), nil
 }
 
-// Damage describes one damaged region found while scanning a journal or
+// Damage describes one damaged record found while scanning a journal or
 // snapshot file. Offsets let fsck point at the exact bytes; Raw carries
 // them into the quarantine sidecar.
-type Damage struct {
-	Line   int    `json:"line"`   // 1-based line number
-	Offset int64  `json:"offset"` // byte offset of the line start
-	Reason string `json:"reason"`
-	Raw    []byte `json:"-"`
-}
+type Damage = wal.Damage
 
 // fileScan is the result of verifying one journal or snapshot file.
 type fileScan struct {
 	path    string
-	version int   // 0 = empty/missing, journalV1, journalV2
+	version int // 0 = empty/missing, journalV1, journalV2
 	entries []Entry
 	// validLen is the byte length of the verified prefix: everything a
 	// salvage may keep. Bytes past validLen belong to damaged records.
@@ -163,37 +73,8 @@ type fileScan struct {
 	manifest bool
 	// size is the total file length scanned.
 	size int64
-}
 
-// rawLine is one physical line with its offset; terminated records whether
-// the trailing newline was present (a final line without one is torn).
-type rawLine struct {
-	off        int64
-	text       []byte
-	terminated bool
-}
-
-func splitRawLines(data []byte) []rawLine {
-	var lines []rawLine
-	start := 0
-	for i := 0; i < len(data); i++ {
-		if data[i] == '\n' {
-			lines = append(lines, rawLine{off: int64(start), text: data[start:i], terminated: true})
-			start = i + 1
-		}
-	}
-	if start < len(data) {
-		lines = append(lines, rawLine{off: int64(start), text: data[start:], terminated: false})
-	}
-	return lines
-}
-
-func (s *fileScan) addDamage(ln rawLine, lineNo int, reason string) {
-	raw := ln.text
-	if ln.terminated {
-		raw = append(append([]byte(nil), raw...), '\n')
-	}
-	s.damage = append(s.damage, Damage{Line: lineNo, Offset: ln.off, Reason: reason, Raw: raw})
+	prevSeq int64 // Seq of the last entry taken (valid once entries is non-empty)
 }
 
 // scanFile verifies one journal (wantManifest=false) or snapshot
@@ -202,184 +83,101 @@ func (s *fileScan) addDamage(ln rawLine, lineNo int, reason string) {
 // verified prefix are returned.
 func scanFile(data []byte, path string, wantManifest bool) *fileScan {
 	s := &fileScan{path: path, size: int64(len(data))}
-	lines := splitRawLines(data)
-	if len(lines) == 0 {
+	if len(data) == 0 {
 		return s
 	}
-	if string(lines[0].text) == v2Header && lines[0].terminated {
-		s.version = journalV2
-		s.scanV2(data, lines, wantManifest)
-	} else {
+	if !bytes.HasPrefix(data, []byte(v2Header+"\n")) {
 		s.version = journalV1
-		s.scanV1(lines)
+		s.apply(wal.Scan(data, 0, s.acceptV1, verifiableV1))
+		return s
 	}
+	s.version = journalV2
+	s.apply(wal.Scan(data, 1, func(ln wal.Line) string { return s.acceptV2(data, ln, wantManifest) }, nil))
+	if wantManifest && !s.manifest && len(s.damage) == 0 {
+		// Snapshots are written atomically: a clean scan with no manifest
+		// means the file was cut off exactly at a frame boundary.
+		s.damage = append(s.damage, Damage{Line: bytes.Count(data, []byte{'\n'}) + 1, Offset: s.size, Reason: "missing manifest"})
+		s.torn = true
+	}
+	// Damage after a verified manifest is never a torn append.
+	s.torn = s.torn && !s.manifest
 	return s
 }
 
-// lineEnd is the byte offset just past a line (including its newline).
-func lineEnd(ln rawLine) int64 {
-	end := ln.off + int64(len(ln.text))
-	if ln.terminated {
-		end++
-	}
-	return end
+func (s *fileScan) apply(r wal.Result) {
+	s.validLen, s.damage, s.torn = r.ValidLen, r.Damage, r.Torn
 }
 
-func (s *fileScan) scanV2(data []byte, lines []rawLine, wantManifest bool) {
-	s.validLen = lineEnd(lines[0]) // header
-	damaged := false
-	validAfterDamage := false
-	var prevSeq int64
-	haveSeq := false
-	for i, ln := range lines[1:] {
-		lineNo := i + 2
-		if damaged {
-			// Past the first damage nothing is trusted; keep scanning only
-			// to classify: a structurally valid record after damage means
-			// mid-log corruption, not a torn tail.
-			s.addDamage(ln, lineNo, "unverified after damage")
-			if ln.terminated {
-				if _, reason := parseFramePayload(ln.text); reason == "" {
-					validAfterDamage = true
-				}
-			}
-			continue
+// acceptV2 verifies one line of a v2 file: a frame holding the next entry,
+// or a snapshot's manifest.
+func (s *fileScan) acceptV2(data []byte, ln wal.Line, wantManifest bool) string {
+	switch {
+	case len(ln.Text) > 0 && ln.Text[0] == '!':
+		if !wantManifest {
+			return "unexpected manifest in append-only journal"
 		}
+		frames, sum, ok := wal.ParseManifest(ln.Text)
 		switch {
-		case !ln.terminated:
-			damaged = true
-			s.addDamage(ln, lineNo, "torn record (no trailing newline)")
-		case len(ln.text) > 0 && ln.text[0] == '!':
-			if !wantManifest {
-				damaged = true
-				s.addDamage(ln, lineNo, "unexpected manifest in append-only journal")
-				continue
-			}
-			reason := s.verifyManifest(data, ln)
-			if reason != "" {
-				damaged = true
-				s.addDamage(ln, lineNo, reason)
-				continue
-			}
-			s.manifest = true
-			s.validLen = lineEnd(ln)
-		case s.manifest:
-			damaged = true
-			s.addDamage(ln, lineNo, "data after manifest")
-		default:
-			payload, reason := parseFramePayload(ln.text)
-			if reason != "" {
-				damaged = true
-				s.addDamage(ln, lineNo, reason)
-				continue
-			}
-			var e Entry
-			if err := json.Unmarshal(payload, &e); err != nil {
-				damaged = true
-				s.addDamage(ln, lineNo, fmt.Sprintf("payload parse error: %v", err))
-				continue
-			}
-			if reason := checkSeq(&prevSeq, &haveSeq, e.Seq); reason != "" {
-				damaged = true
-				s.addDamage(ln, lineNo, reason)
-				continue
-			}
-			s.entries = append(s.entries, e)
-			s.validLen = lineEnd(ln)
+		case !ok:
+			return "malformed manifest"
+		case int(frames) != len(s.entries):
+			return fmt.Sprintf("manifest frame count %d, file has %d", frames, len(s.entries))
+		case wal.Checksum(data[:ln.Off]) != sum:
+			return "manifest checksum mismatch"
 		}
+		s.manifest = true
+		return ""
+	case s.manifest:
+		return "data after manifest"
 	}
-	if wantManifest && !s.manifest && !damaged {
-		// Snapshots are written atomically: a clean scan with no manifest
-		// means the file was cut off exactly at a frame boundary.
-		s.damage = append(s.damage, Damage{Line: len(lines) + 1, Offset: s.size, Reason: "missing manifest"})
-		damaged = true
+	payload, reason := wal.ParseFrame(ln.Text)
+	if reason != "" {
+		return reason
 	}
-	s.torn = damaged && !validAfterDamage && !s.manifest
+	var e Entry
+	if err := json.Unmarshal(payload, &e); err != nil {
+		return fmt.Sprintf("payload parse error: %v", err)
+	}
+	return s.take(e)
 }
 
-func (s *fileScan) verifyManifest(data []byte, ln rawLine) string {
-	if len(ln.text) != manifestLen || ln.text[9] != ' ' {
-		return "malformed manifest"
-	}
-	count, ok1 := parseHex8(ln.text[1:9])
-	sum, ok2 := parseHex8(ln.text[10:18])
-	if !ok1 || !ok2 {
-		return "malformed manifest"
-	}
-	if int(count) != len(s.entries) {
-		return fmt.Sprintf("manifest frame count %d, file has %d", count, len(s.entries))
-	}
-	if crc32c(data[:ln.off]) != sum {
-		return "manifest checksum mismatch"
-	}
-	return ""
-}
-
-func (s *fileScan) scanV1(lines []rawLine) {
-	damaged := false
-	validAfterDamage := false
-	var prevSeq int64
-	haveSeq := false
-	for i, ln := range lines {
-		lineNo := i + 1
-		if len(ln.text) == 0 && ln.terminated {
-			if !damaged {
-				s.validLen = lineEnd(ln)
-			} else {
-				s.addDamage(ln, lineNo, "unverified after damage")
-			}
-			continue
-		}
-		if damaged {
-			s.addDamage(ln, lineNo, "unverified after damage")
-			if ln.terminated {
-				var e Entry
-				if json.Unmarshal(ln.text, &e) == nil {
-					validAfterDamage = true
-				} else if _, reason := parseFramePayload(ln.text); reason == "" {
-					// A checksummed v2 frame inside a "v1" file means the v2
-					// header itself was damaged: corruption, not a torn tail —
-					// truncating here would silently discard the whole log.
-					validAfterDamage = true
-				}
-			}
-			continue
-		}
-		var e Entry
-		reason := ""
-		switch {
-		case !ln.terminated:
-			reason = "torn record (no trailing newline)"
-		case json.Unmarshal(ln.text, &e) != nil:
-			reason = "parse error"
-		default:
-			reason = checkSeq(&prevSeq, &haveSeq, e.Seq)
-		}
-		if reason != "" {
-			damaged = true
-			s.addDamage(ln, lineNo, reason)
-			continue
-		}
-		s.entries = append(s.entries, e)
-		s.validLen = lineEnd(ln)
-	}
-	s.torn = damaged && !validAfterDamage
-}
-
-// checkSeq enforces the strictly-consecutive sequence invariant within one
-// file. A torn write whose fragment still parses as JSON — or a bit flip in
-// a v1 seq digit — shows up here as a regression or gap.
-func checkSeq(prev *int64, have *bool, seq int64) string {
-	if !*have {
-		*have, *prev = true, seq
+// acceptV1 verifies one line of a v1 JSONL file; blank lines are skipped.
+func (s *fileScan) acceptV1(ln wal.Line) string {
+	if len(ln.Text) == 0 {
 		return ""
 	}
-	if seq != *prev+1 {
-		if seq <= *prev {
-			return fmt.Sprintf("out-of-sequence record (seq %d after %d)", seq, *prev)
-		}
-		return fmt.Sprintf("sequence gap (seq %d after %d)", seq, *prev)
+	var e Entry
+	if json.Unmarshal(ln.Text, &e) != nil {
+		return "parse error"
 	}
-	*prev = seq
+	return s.take(e)
+}
+
+// verifiableV1 decides whether a v1 line after damage proves mid-log
+// corruption: a whole entry does, and so does a checksummed v2 frame — one
+// inside a "v1" file means the v2 header itself was damaged, and truncating
+// there would silently discard the whole log.
+func verifiableV1(ln wal.Line) bool {
+	var e Entry
+	if json.Unmarshal(ln.Text, &e) == nil {
+		return true
+	}
+	_, reason := wal.ParseFrame(ln.Text)
+	return reason == ""
+}
+
+// take appends e to the verified prefix, enforcing the strictly-consecutive
+// sequence invariant within one file. A torn write whose fragment still
+// parses as JSON — or a bit flip in a v1 seq digit — shows up here as a
+// regression or gap.
+func (s *fileScan) take(e Entry) string {
+	if len(s.entries) > 0 && e.Seq != s.prevSeq+1 {
+		if e.Seq <= s.prevSeq {
+			return fmt.Sprintf("out-of-sequence record (seq %d after %d)", e.Seq, s.prevSeq)
+		}
+		return fmt.Sprintf("sequence gap (seq %d after %d)", e.Seq, s.prevSeq)
+	}
+	s.prevSeq = e.Seq
+	s.entries = append(s.entries, e)
 	return ""
 }

@@ -96,20 +96,24 @@ func (r *FsckReport) Summary() string {
 
 // Fsck verifies the snapshot+journal pair in dir without modifying anything.
 func Fsck(fsys vfs.FS, dir string) (*FsckReport, error) {
-	snap, err := scanPath(fsys, snapshotFile(dir), true)
+	r, _, _, err := fsckPair(fsys, dir)
+	return r, err
+}
+
+// fsckPair verifies the pair in dir and builds the report Fsck and
+// FsckRepair both return, along with what a repair keeps (the committed
+// prefix) and sets aside (every damaged or unreachable record).
+func fsckPair(fsys vfs.FS, dir string) (r *FsckReport, keep []Entry, setAside []FileDamage, err error) {
+	snap, tail, err := scanPair(fsys, dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	tail, err := scanPath(fsys, journalFile(dir), false)
-	if err != nil {
-		return nil, err
-	}
-	entries, unreachable, gap := foldScans(snap, tail)
-	r := &FsckReport{
+	keep, unreachable, gap := foldScans(snap, tail)
+	r = &FsckReport{
 		Dir:         dir,
 		Snapshot:    fsckFile(snap),
 		Journal:     fsckFile(tail),
-		Committed:   len(entries),
+		Committed:   len(keep),
 		Gap:         gap,
 		Unreachable: len(unreachable),
 	}
@@ -117,7 +121,9 @@ func Fsck(fsys vfs.FS, dir string) (*FsckReport, error) {
 	// corruption; only the journal's torn tail is benign.
 	r.Corrupt = len(snap.damage) > 0 || (len(tail.damage) > 0 && !tail.torn) || gap != ""
 	r.Torn = !r.Corrupt && tail.torn
-	return r, nil
+	setAside = append(damageList("snapshot.jsonl", snap.damage, true), damageList("journal.jsonl", tail.damage, true)...)
+	setAside = append(setAside, unreachableDamage(unreachable, gap)...)
+	return r, keep, setAside, nil
 }
 
 // FsckRepair salvages dir: the committed prefix is rewritten as a clean v2
@@ -125,69 +131,27 @@ func Fsck(fsys vfs.FS, dir string) (*FsckReport, error) {
 // damaged or unreachable record is preserved in quarantine.jsonl. Returns
 // the pre-repair report. Repairing a clean directory only migrates it to v2.
 func FsckRepair(fsys vfs.FS, dir string) (*FsckReport, error) {
-	snap, err := scanPath(fsys, snapshotFile(dir), true)
+	r, keep, setAside, err := fsckPair(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
-	tail, err := scanPath(fsys, journalFile(dir), false)
-	if err != nil {
-		return nil, err
-	}
-	entries, unreachable, gap := foldScans(snap, tail)
-	r := &FsckReport{
-		Dir:         dir,
-		Snapshot:    fsckFile(snap),
-		Journal:     fsckFile(tail),
-		Committed:   len(entries),
-		Gap:         gap,
-		Unreachable: len(unreachable),
-	}
-	r.Corrupt = len(snap.damage) > 0 || (len(tail.damage) > 0 && !tail.torn) || gap != ""
-	r.Torn = !r.Corrupt && tail.torn
-
-	var quarantined []FileDamage
-	quarantined = append(quarantined, damageList("snapshot.jsonl", snap.damage, true)...)
-	quarantined = append(quarantined, damageList("journal.jsonl", tail.damage, true)...)
-	for _, e := range unreachable {
-		payload, _ := json.Marshal(e)
-		quarantined = append(quarantined, FileDamage{
-			File: "journal.jsonl", Reason: "unreachable after " + gap, RawB64: b64(payload),
-		})
-	}
-	if len(quarantined) > 0 {
-		if err := writeQuarantine(fsys, dir, quarantined); err != nil {
+	if len(setAside) > 0 {
+		if err := writeQuarantine(fsys, dir, setAside); err != nil {
 			return nil, err
 		}
 	}
-
-	data, err := encodeSnapshot(entries)
+	data, err := encodeSnapshot(keep)
 	if err != nil {
 		return nil, err
 	}
-	tmp := snapshotFile(dir) + ".tmp"
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return nil, fmt.Errorf("slurm: fsck repair: %w", err)
-	}
-	if _, err = f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fsys.Remove(tmp)
-		return nil, fmt.Errorf("slurm: fsck repair: %w", err)
-	}
-	if err := fsys.Rename(tmp, snapshotFile(dir)); err != nil {
-		fsys.Remove(tmp)
+	if err := writeSnapshotAtomic(fsys, dir, data); err != nil {
 		return nil, fmt.Errorf("slurm: fsck repair: %w", err)
 	}
 	w, err := createJournalV2(fsys, journalFile(dir))
 	if err != nil {
 		return nil, fmt.Errorf("slurm: fsck repair: %w", err)
 	}
-	if err := w.close(); err != nil {
+	if err := w.Close(); err != nil {
 		return nil, fmt.Errorf("slurm: fsck repair: %w", err)
 	}
 	syncDir(fsys, dir)

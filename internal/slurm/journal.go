@@ -1,7 +1,6 @@
 package slurm
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"expvar"
@@ -13,6 +12,7 @@ import (
 
 	"repro/internal/acct"
 	"repro/internal/vfs"
+	"repro/internal/wal"
 )
 
 // Crash recovery. slurmctld survives restarts by writing StateSaveLocation;
@@ -132,13 +132,19 @@ func syncDir(fsys vfs.FS, dir string) {
 // are assigned by the controller (which also owns the in-memory copy of the
 // log for replication); the journal persists entries exactly as given.
 type journal struct {
-	fs     vfs.FS
-	dir    string
-	w      *journalWriter
-	werr   error // why w is nil (a failed compact step); appends try to heal
-	wedged bool  // a failed append could not be rolled back; nothing more is written
-	every  int   // compact after this many appends (0 = never)
-	ops    int   // appends since the last compaction
+	fs  vfs.FS
+	dir string
+	// w appends to the live journal; a failed append rolls the file back
+	// to its committed length (see internal/wal). w is nil after a failed
+	// compaction step; the next append re-establishes it.
+	w *wal.Appender
+	// version is the live file's format: v2 checksummed frames for new
+	// files, plain JSONL for a v1 file inherited from an earlier release
+	// (mixing formats inside one file would corrupt it; the next compaction
+	// rewrites it as v2).
+	version int
+	every   int // compact after this many appends (0 = never)
+	ops     int // appends since the last compaction
 
 	// testAppendErr, when set, is consulted before each append; a non-nil
 	// return aborts the append with that error. Tests use it to simulate a
@@ -150,83 +156,14 @@ func snapshotFile(dir string) string   { return filepath.Join(dir, "snapshot.jso
 func journalFile(dir string) string    { return filepath.Join(dir, "journal.jsonl") }
 func quarantineFile(dir string) string { return filepath.Join(dir, "quarantine.jsonl") }
 
-// journalWriter appends entries to the live journal file in the file's
-// format: v2 checksummed frames for new files, plain JSONL for a v1 file
-// inherited from an earlier release (mixing formats inside one file would
-// corrupt it; the next compaction rewrites it as v2).
-type journalWriter struct {
-	f       vfs.File
-	bw      *bufio.Writer
-	version int
-	// committed is the byte length of the acknowledged prefix of the file;
-	// pending counts bytes buffered or written past it. A failed append is
-	// rolled back to committed (see journal.rollbackAppend): the flush may
-	// have persisted the record even though the fsync failed, and leaving it
-	// behind would collide with the retry's reissued Seq — recovery would
-	// then refuse the duplicate as out-of-sequence corruption.
-	committed int64
-	pending   int64
-}
-
-func newJournalWriter(f vfs.File, version int) *journalWriter {
-	return &journalWriter{f: f, bw: bufio.NewWriter(f), version: version}
-}
-
 // createJournalV2 truncate-creates path as an empty v2 journal: header line
 // written and synced so the file is self-describing from byte zero.
-func createJournalV2(fsys vfs.FS, path string) (*journalWriter, error) {
-	f, err := fsys.Create(path)
+func createJournalV2(fsys vfs.FS, path string) (*wal.Appender, error) {
+	w, err := wal.Create(fsys, path, []byte(v2Header+"\n"))
 	if err != nil {
 		return nil, fmt.Errorf("slurm: create journal %s: %w", path, err)
 	}
-	w := newJournalWriter(f, journalV2)
-	if _, err := w.bw.WriteString(v2Header + "\n"); err == nil {
-		w.pending = int64(len(v2Header) + 1)
-		err = w.sync()
-	}
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("slurm: init journal %s: %w", path, err)
-	}
 	return w, nil
-}
-
-func (w *journalWriter) append(e Entry) error {
-	payload, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("slurm: encode entry %d: %w", e.Seq, err)
-	}
-	var line []byte
-	if w.version == journalV2 {
-		line = appendFrame(nil, payload)
-	} else {
-		line = append(payload, '\n')
-	}
-	if _, err := w.bw.Write(line); err != nil {
-		return fmt.Errorf("slurm: append to %s: %w", w.f.Name(), err)
-	}
-	w.pending += int64(len(line))
-	return nil
-}
-
-func (w *journalWriter) sync() error {
-	if err := w.bw.Flush(); err != nil {
-		return fmt.Errorf("slurm: flush %s: %w", w.f.Name(), err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("slurm: sync %s: %w", w.f.Name(), err)
-	}
-	w.committed += w.pending
-	w.pending = 0
-	return nil
-}
-
-func (w *journalWriter) close() error {
-	syncErr := w.sync()
-	if err := w.f.Close(); err != nil {
-		return fmt.Errorf("slurm: close %s: %w", w.f.Name(), err)
-	}
-	return syncErr
 }
 
 // CorruptPolicy selects what recovery does with a journal or snapshot
@@ -293,6 +230,17 @@ func scanPath(fsys vfs.FS, path string, wantManifest bool) (*fileScan, error) {
 	return scanFile(data, path, wantManifest), nil
 }
 
+// scanPair reads and verifies the snapshot+journal pair in dir.
+func scanPair(fsys vfs.FS, dir string) (snap, tail *fileScan, err error) {
+	if snap, err = scanPath(fsys, snapshotFile(dir), true); err != nil {
+		return nil, nil, err
+	}
+	if tail, err = scanPath(fsys, journalFile(dir), false); err != nil {
+		return nil, nil, err
+	}
+	return snap, tail, nil
+}
+
 // readEntries parses a journal file (either format version), tolerating a
 // torn tail and failing loudly on any other damage. Test helper and v1
 // compatibility reader.
@@ -353,6 +301,17 @@ func damageList(file string, ds []Damage, withRaw bool) []FileDamage {
 	return out
 }
 
+// unreachableDamage lists the records stranded past a sequence gap, so a
+// salvage sets them aside instead of silently dropping them.
+func unreachableDamage(unreachable []Entry, gap string) []FileDamage {
+	out := make([]FileDamage, 0, len(unreachable))
+	for _, e := range unreachable {
+		payload, _ := json.Marshal(e) // Entry always marshals
+		out = append(out, FileDamage{File: "journal.jsonl", Reason: "unreachable after " + gap, RawB64: b64(payload)})
+	}
+	return out
+}
+
 // openJournal opens (creating if needed) the state directory, verifies the
 // snapshot+journal pair, and returns the append handle, every committed
 // entry, and a recovery report. Damage handling follows the recovery state
@@ -367,11 +326,7 @@ func openJournal(fsys vfs.FS, dir string, every int, pol CorruptPolicy) (*journa
 	// A leftover compaction temp file is a crash before the rename; the
 	// snapshot+journal pair is authoritative.
 	fsys.Remove(snapshotFile(dir) + ".tmp")
-	snap, err := scanPath(fsys, snapshotFile(dir), true)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	tail, err := scanPath(fsys, journalFile(dir), false)
+	snap, tail, err := scanPair(fsys, dir)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -409,12 +364,7 @@ func openJournal(fsys vfs.FS, dir string, every int, pol CorruptPolicy) (*journa
 			return nil, nil, nil, fmt.Errorf(
 				"slurm: %s: %s (run `mini-slurm fsck` to inspect, `-repair` to salvage)", dir, gap)
 		}
-		for _, e := range unreachable {
-			payload, _ := json.Marshal(e)
-			quarantined = append(quarantined, FileDamage{
-				File: "journal.jsonl", Reason: "unreachable after " + gap, RawB64: b64(payload),
-			})
-		}
+		quarantined = append(quarantined, unreachableDamage(unreachable, gap)...)
 	}
 
 	// Torn journal tail: the expected crash-mid-append artifact. Truncate
@@ -438,27 +388,31 @@ func openJournal(fsys vfs.FS, dir string, every int, pol CorruptPolicy) (*journa
 		info.Damage = damageList("journal.jsonl", tail.damage, false)
 	}
 
-	var w *journalWriter
-	if tail.validLen == 0 || tail.version == 0 {
-		// Empty (or fully torn) journal: start a fresh self-describing v2 file.
-		w, err = createJournalV2(fsys, journalFile(dir))
-	} else {
-		var f vfs.File
-		f, err = fsys.OpenAppend(journalFile(dir))
-		if err == nil {
-			w = newJournalWriter(f, tail.version)
-			w.committed = tail.validLen
-		}
-	}
-	if err != nil {
+	j := &journal{fs: fsys, dir: dir, every: every, ops: len(tail.entries)}
+	if err := j.openWriter(tail); err != nil {
 		return nil, nil, nil, err
 	}
 	// Make the freshly created files' directory entries durable too: an
 	// fsynced journal line in a file the directory has lost is still lost.
 	syncDir(fsys, dir)
 	info.Entries = len(entries)
-	j := &journal{fs: fsys, dir: dir, w: w, every: every, ops: len(tail.entries)}
 	return j, entries, info, nil
+}
+
+// openWriter establishes the append handle on the scanned live journal: a
+// fresh v2 file when nothing verified survives, otherwise appends after the
+// verified prefix in the file's own format.
+func (j *journal) openWriter(tail *fileScan) (err error) {
+	if tail.validLen == 0 || tail.version == 0 {
+		j.w, err = createJournalV2(j.fs, journalFile(j.dir))
+		j.version = journalV2
+		return err
+	}
+	if j.w, err = wal.Open(j.fs, journalFile(j.dir), tail.validLen); err != nil {
+		return fmt.Errorf("slurm: open journal: %w", err)
+	}
+	j.version = tail.version
+	return nil
 }
 
 // ensureWriter re-establishes the append handle after a failed compaction
@@ -475,41 +429,36 @@ func (j *journal) ensureWriter() error {
 	if len(scan.damage) > 0 {
 		return fmt.Errorf("slurm: journal %s damaged after failed compaction (%s); refusing to append", scan.path, scan.damage[0].Reason)
 	}
-	if scan.validLen == 0 || scan.version == 0 {
-		j.w, err = createJournalV2(j.fs, journalFile(j.dir))
-		return err
-	}
-	f, err := j.fs.OpenAppend(journalFile(j.dir))
-	if err != nil {
-		return err
-	}
-	j.w = newJournalWriter(f, scan.version)
-	j.w.committed = scan.validLen
-	j.werr = nil
-	return nil
+	return j.openWriter(scan)
 }
 
 // append durably logs one entry (whose Seq the caller has already assigned),
 // then compacts if the journal grew past the snapshot threshold. Append-path
 // failures wrap ErrJournalAppend; compaction failures wrap ErrJournalCompact.
+// A failed append leaves the file at its committed length: the retry
+// reissues the same Seq, and a duplicate left on disk would make recovery
+// refuse the whole journal as out-of-sequence corruption.
 func (j *journal) append(e Entry) error {
 	if j.testAppendErr != nil {
 		if err := j.testAppendErr(e); err != nil {
 			return journalErr(ErrJournalAppend, err)
 		}
 	}
-	if j.wedged {
-		return journalErr(ErrJournalAppend,
-			fmt.Errorf("slurm: journal %s wedged by an earlier failed append rollback", journalFile(j.dir)))
-	}
 	if err := j.ensureWriter(); err != nil {
 		return journalErr(ErrJournalAppend, err)
 	}
-	if err := j.w.append(e); err != nil {
-		return journalErr(ErrJournalAppend, j.rollbackAppend(err))
+	payload, err := json.Marshal(e)
+	if err != nil {
+		return journalErr(ErrJournalAppend, fmt.Errorf("slurm: encode entry %d: %w", e.Seq, err))
 	}
-	if err := j.w.sync(); err != nil {
-		return journalErr(ErrJournalAppend, j.rollbackAppend(err))
+	var line []byte
+	if j.version == journalV2 {
+		line = wal.AppendFrame(nil, payload)
+	} else {
+		line = append(payload, '\n')
+	}
+	if err := j.w.Append(line, true); err != nil {
+		return journalErr(ErrJournalAppend, fmt.Errorf("slurm: journal entry %d: %w", e.Seq, err))
 	}
 	j.ops++
 	if j.every > 0 && j.ops >= j.every {
@@ -518,32 +467,12 @@ func (j *journal) append(e Entry) error {
 	return nil
 }
 
-// rollbackAppend discards a failed append's possibly-persisted bytes by
-// truncating the live journal back to its committed length: the flush may
-// have landed the record on disk even though the fsync (or a partial write)
-// failed, and the retry will reissue the same Seq — without the rollback the
-// duplicate would make recovery refuse the whole journal as out-of-sequence
-// corruption. The handle is closed and reopened lazily by the next append's
-// ensureWriter. If the rollback itself fails the journal wedges — nothing
-// more is written, and the committed prefix is what the next open finds —
-// mirroring the campaign journal's policy (DESIGN §13).
-func (j *journal) rollbackAppend(err error) error {
-	committed := j.w.committed
-	j.w.f.Close()
-	j.w = nil
-	if terr := j.fs.Truncate(journalFile(j.dir), committed); terr != nil {
-		j.wedged = true
-		return fmt.Errorf("%w (rollback failed: %v; journal wedged)", err, terr)
-	}
-	j.werr = err
-	return err
-}
-
-// writeSnapshotAtomic writes data to the snapshot temp file, syncs it, and
-// atomically renames it over the snapshot.
-func (j *journal) writeSnapshotAtomic(data []byte) error {
-	tmp := snapshotFile(j.dir) + ".tmp"
-	f, err := j.fs.Create(tmp)
+// writeSnapshotAtomic writes data to the snapshot temp file in dir, syncs
+// it, atomically renames it over the snapshot, and syncs the directory.
+// Compaction, HA resync and fsck repair all write snapshots through it.
+func writeSnapshotAtomic(fsys vfs.FS, dir string, data []byte) error {
+	tmp := snapshotFile(dir) + ".tmp"
+	f, err := fsys.Create(tmp)
 	if err != nil {
 		return err
 	}
@@ -554,17 +483,17 @@ func (j *journal) writeSnapshotAtomic(data []byte) error {
 		err = cerr
 	}
 	if err != nil {
-		j.fs.Remove(tmp)
+		fsys.Remove(tmp)
 		return err
 	}
-	if err := j.fs.Rename(tmp, snapshotFile(j.dir)); err != nil {
-		j.fs.Remove(tmp)
+	if err := fsys.Rename(tmp, snapshotFile(dir)); err != nil {
+		fsys.Remove(tmp)
 		return err
 	}
 	// Without a directory fsync the rename may not survive power loss on
 	// some filesystems — the data would be safe in the temp file, but the
 	// snapshot name could still point at the old content.
-	syncDir(j.fs, j.dir)
+	syncDir(fsys, dir)
 	return nil
 }
 
@@ -576,11 +505,7 @@ func (j *journal) writeSnapshotAtomic(data []byte) error {
 // fold leaves the append path healthy. A crash at any point leaves a
 // recoverable pair of files.
 func (j *journal) compact() error {
-	snap, err := scanPath(j.fs, snapshotFile(j.dir), true)
-	if err != nil {
-		return journalErr(ErrJournalCompact, err)
-	}
-	tail, err := scanPath(j.fs, journalFile(j.dir), false)
+	snap, tail, err := scanPair(j.fs, j.dir)
 	if err != nil {
 		return journalErr(ErrJournalCompact, err)
 	}
@@ -597,62 +522,44 @@ func (j *journal) compact() error {
 	if gap != "" {
 		return journalErr(ErrJournalCompact, fmt.Errorf("refusing to fold: %s", gap))
 	}
-	data, err := encodeSnapshot(entries)
-	if err != nil {
-		return journalErr(ErrJournalCompact, err)
-	}
-	if err := j.writeSnapshotAtomic(data); err != nil {
-		return journalErr(ErrJournalCompact, err)
-	}
-	return journalErr(ErrJournalCompact, j.truncateLive())
+	return j.rewrite(entries)
 }
 
-// truncateLive replaces the live journal with a fresh v2 file after its
-// entries have been folded into the snapshot. On failure the append handle
-// is left nil with the cause recorded; the next append retries via
-// ensureWriter.
-func (j *journal) truncateLive() error {
-	if j.w != nil {
-		err := j.w.close()
-		j.w = nil
-		if err != nil {
-			j.werr = err
-			return err
-		}
-	}
-	w, err := createJournalV2(j.fs, journalFile(j.dir))
-	if err != nil {
-		j.werr = err
-		return err
-	}
-	syncDir(j.fs, j.dir)
-	j.w = w
-	j.werr = nil
-	j.ops = 0
-	return nil
-}
-
-// rewrite atomically replaces the journal's entire content with entries: a
-// standby that accepted a full resync from the primary persists the received
-// log in one step. The entries land in the snapshot (a resync is morally a
-// compaction, and fails as one) and the live journal is truncated.
+// rewrite atomically replaces the journal's entire content with entries:
+// they land in a fresh snapshot and the live journal is truncated. A
+// compaction folds the log this way, and a standby that accepted a full
+// resync from the primary persists the received log in one step (a resync
+// is morally a compaction, and fails as one). On a failed truncation the
+// append handle is left nil; the next append retries via ensureWriter.
 func (j *journal) rewrite(entries []Entry) error {
 	data, err := encodeSnapshot(entries)
 	if err != nil {
 		return journalErr(ErrJournalCompact, err)
 	}
-	if err := j.writeSnapshotAtomic(data); err != nil {
+	if err := writeSnapshotAtomic(j.fs, j.dir, data); err != nil {
 		return journalErr(ErrJournalCompact, err)
 	}
-	return journalErr(ErrJournalCompact, j.truncateLive())
+	if err := j.close(); err != nil {
+		return journalErr(ErrJournalCompact, err)
+	}
+	w, err := createJournalV2(j.fs, journalFile(j.dir))
+	if err != nil {
+		return journalErr(ErrJournalCompact, err)
+	}
+	syncDir(j.fs, j.dir)
+	j.w, j.version, j.ops = w, journalV2, 0
+	return nil
 }
 
-// close releases the append handle.
+// close syncs and releases the append handle.
 func (j *journal) close() error {
 	if j.w == nil {
 		return nil
 	}
-	err := j.w.close()
+	err := j.w.Sync()
+	if cerr := j.w.Close(); err == nil {
+		err = cerr
+	}
 	j.w = nil
 	return err
 }
